@@ -324,9 +324,8 @@ func BenchmarkMultiAggScan(b *testing.B) {
 		RoundRows: 40_000,
 	}
 	const samples = 20_000 // per group; ~7 near-uniform DayOfWeek groups
-	for _, n := range []int{1, 2, 4, 8} {
-		aggs := allAggs[:n]
-		b.Run("multi/N="+itoa(int64(n)), func(b *testing.B) {
+	multi := func(aggs []query.Aggregate) func(*testing.B) {
+		return func(b *testing.B) {
 			var blocks int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -342,7 +341,13 @@ func BenchmarkMultiAggScan(b *testing.B) {
 				blocks = res.BlocksFetched
 			}
 			b.ReportMetric(float64(blocks), "blocks/op")
-		})
+		}
+	}
+	// Two quantiles over one input: both read one shared sample.
+	b.Run("multi/MEDIAN+PERCENTILE", multi([]query.Aggregate{allAggs[1], allAggs[5]}))
+	for _, n := range []int{1, 2, 4, 8} {
+		aggs := allAggs[:n]
+		b.Run("multi/N="+itoa(int64(n)), multi(aggs))
 		b.Run("solo/N="+itoa(int64(n)), func(b *testing.B) {
 			var blocks int
 			b.ResetTimer()

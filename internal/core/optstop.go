@@ -33,6 +33,10 @@ type DecaySchedule func(delta float64, k int) float64
 // intervals, rapidly decaying later ones — good when queries finish in
 // few rounds); η near 1 spreads it like a slow k⁻² (good for long
 // scans). η must lie in (0, 1).
+//
+// A deep round whose share underflows gets the smallest positive float
+// instead of 0, which is no valid error budget; the excess, 5e-324 a
+// round, lies far below the rounding error of δ itself.
 func GeometricDecay(eta float64) DecaySchedule {
 	if eta <= 0 || eta >= 1 {
 		panic("core: GeometricDecay eta outside (0,1)")
@@ -41,7 +45,7 @@ func GeometricDecay(eta float64) DecaySchedule {
 		if k < 1 {
 			k = 1
 		}
-		return delta * (1 - eta) * math.Pow(eta, float64(k-1))
+		return max(delta*(1-eta)*math.Pow(eta, float64(k-1)), math.SmallestNonzeroFloat64)
 	}
 }
 

@@ -74,9 +74,13 @@ type engine struct {
 	// deduplicated set of per-row values the scan gathers (each float
 	// column, expression kernel, categorical code stream, or derived
 	// square read/computed once per block regardless of how many
-	// aggregates consume it), and aggs describes each aggregate of the
-	// list — its kind, which inputs feed it, and its catalog bounds.
+	// aggregates consume it), tracks is the deduplicated set of
+	// per-group sketches over those inputs (each fed once per row
+	// however many aggregates read it), and aggs describes each
+	// aggregate of the list — its kind, which tracks feed it, and its
+	// catalog bounds.
 	inputs []inputSpec
+	tracks []trackSpec
 	aggs   []aggSpec
 
 	pred *compiledPred
@@ -183,6 +187,20 @@ func (e *engine) addInput(spec inputSpec) int {
 	return len(e.inputs) - 1
 }
 
+// addTrack returns the index of the group track of the given kind over
+// input in, appending it when no earlier SELECT-list member owns one.
+// Tracks over the same deduplicated input see the same value sequence,
+// so one copy serves every member that reads it.
+func (e *engine) addTrack(spec trackSpec) int {
+	for i, s := range e.tracks {
+		if s.kind == spec.kind && s.in == spec.in {
+			return i
+		}
+	}
+	e.tracks = append(e.tracks, spec)
+	return len(e.tracks) - 1
+}
+
 // squareBounds returns catalog bounds for x² given x ∈ [a, b].
 func squareBounds(a, b float64) (float64, float64) {
 	hi := math.Max(a*a, b*b)
@@ -193,13 +211,14 @@ func squareBounds(a, b float64) (float64, float64) {
 }
 
 // resolveAggs compiles the SELECT list: one aggSpec per aggregate,
-// referencing deduplicated gather inputs.
+// referencing deduplicated group tracks over deduplicated gather inputs.
 func (e *engine) resolveAggs(t *table.Table, list []query.Aggregate) error {
 	for _, a := range list {
-		sp := aggSpec{kind: a.Kind, in2: -1, p: a.Quantile()}
+		sp := aggSpec{kind: a.Kind, tr2: -1, p: a.Quantile()}
 		switch a.Kind {
 		case query.Count:
-			sp.in = e.addInput(inputSpec{kind: inOne})
+			in := e.addInput(inputSpec{kind: inOne})
+			sp.tr = e.addTrack(trackSpec{kind: trMean, in: in})
 			sp.a, sp.b = 0, 1 // selectivity bounds; AVG interval unused
 		case query.CountDistinct:
 			col, err := t.Cat(a.Column)
@@ -210,10 +229,12 @@ func (e *engine) resolveAggs(t *table.Table, list []query.Aggregate) error {
 			if err != nil {
 				return err
 			}
-			sp.in = e.addInput(inputSpec{kind: inCatCode, slot: slot})
+			in := e.addInput(inputSpec{kind: inCatCode, slot: slot})
 			sp.dictSize = col.NumValues()
+			sp.tr = e.addTrack(trackSpec{kind: trDistinct, in: in, dictSize: sp.dictSize})
 			sp.a, sp.b = 0, math.Max(0, float64(sp.dictSize-1))
 		default:
+			var in int
 			if a.Expr != nil {
 				// Expression aggregate: compile a slot-indexed kernel and
 				// derive range bounds from the referenced columns' catalog
@@ -237,7 +258,7 @@ func (e *engine) resolveAggs(t *table.Table, list []query.Aggregate) error {
 				if err != nil {
 					return err
 				}
-				sp.in = e.addInput(inputSpec{kind: inKernel, kernel: kern})
+				in = e.addInput(inputSpec{kind: inKernel, kernel: kern})
 				sp.a, sp.b = box.Lo, box.Hi
 			} else {
 				slot, err := e.cols.floatSlot(a.Column)
@@ -248,12 +269,19 @@ func (e *engine) resolveAggs(t *table.Table, list []query.Aggregate) error {
 				if err != nil {
 					return err
 				}
-				sp.in = e.addInput(inputSpec{kind: inColumn, slot: slot})
+				in = e.addInput(inputSpec{kind: inColumn, slot: slot})
 				sp.a, sp.b = rb.A, rb.B
 			}
-			if a.Kind == query.Var || a.Kind == query.Stddev {
-				sp.in2 = e.addInput(inputSpec{kind: inSquare, src: sp.in})
+			switch a.Kind {
+			case query.Median, query.Percentile:
+				sp.tr = e.addTrack(trackSpec{kind: trECDF, in: in})
+			case query.Var, query.Stddev:
+				sp.tr = e.addTrack(trackSpec{kind: trMean, in: in})
+				in2 := e.addInput(inputSpec{kind: inSquare, src: in})
+				sp.tr2 = e.addTrack(trackSpec{kind: trMean, in: in2})
 				sp.a2, sp.b2 = squareBounds(sp.a, sp.b)
+			default:
+				sp.tr = e.addTrack(trackSpec{kind: trMean, in: in})
 			}
 		}
 		e.aggs = append(e.aggs, sp)
@@ -307,7 +335,7 @@ func newEngine(t *table.Table, q query.Query, opts Options) (*engine, error) {
 	// with G the product of the GROUP BY dictionary sizes.
 	e.states = make([]*groupState, grp.numGroups())
 	for id := range e.states {
-		e.states[id] = newGroupState(id, grp.codesOf(id), opts.Bounder, e.aggs, e.cfg.bigR)
+		e.states[id] = newGroupState(id, grp.codesOf(id), opts.Bounder, e.tracks, e.aggs, e.cfg.bigR)
 	}
 	e.ordered = e.states
 
@@ -553,7 +581,7 @@ func (e *engine) fetchBound(n int) {
 	if e.grp.isGlobal() {
 		gs := e.states[0]
 		if !gs.exact {
-			gs.observeRun(e.aggs, e.valsIn, 0, len(sel))
+			gs.observeRun(e.tracks, e.valsIn, 0, len(sel))
 		}
 		return
 	}
@@ -566,7 +594,7 @@ func (e *engine) fetchBound(n int) {
 		}
 		gs := e.states[gid]
 		if !gs.exact {
-			gs.observeRun(e.aggs, e.valsIn, i, j)
+			gs.observeRun(e.tracks, e.valsIn, i, j)
 		}
 		i = j
 	}
@@ -587,7 +615,7 @@ func (e *engine) fetchScalar(n int) {
 			continue
 		}
 		e.evalRow(vs, row, e.rowVals)
-		gs.observeRow(e.aggs, e.rowVals)
+		gs.observeRow(e.tracks, e.rowVals)
 	}
 }
 

@@ -39,30 +39,62 @@ type inputSpec struct {
 	src    int // inSquare: index of the input being squared
 }
 
+// trackKind classifies one per-group sketch fed from a gather input.
+type trackKind int
+
+const (
+	// trMean is a bounder state over the input plus the input's exact
+	// running sums: the X track of Avg/Sum/Count/Var/Stddev, or the X²
+	// track of Var/Stddev (whose input is the derived square).
+	trMean trackKind = iota
+	// trECDF retains the input's sample (Median/Percentile).
+	trECDF
+	// trDistinct marks the dictionary codes seen (CountDistinct).
+	trDistinct
+)
+
+// trackSpec is one deduplicated per-group sketch. The engine keeps one
+// track per (kind, input): the first SELECT-list member that needs it
+// owns it, and every later member over the same input reads the
+// owner's copy. So MEDIAN(x), PERCENTILE(x, p) retain and sort one
+// sample, and AVG(x), VAR(x), STDDEV(x) run one X track and one X²
+// track, each fed once per row however many members consume it.
+type trackSpec struct {
+	kind     trackKind
+	in       int // gather input feeding the track
+	dictSize int // trDistinct: size of the candidate code space
+}
+
+// track is one group's state for one trackSpec.
+type track struct {
+	state       ci.State   // trMean: bounder over the input
+	sum, absSum float64    // trMean: exact running sums of the input
+	ecdf        stats.ECDF // trECDF: retained sample
+	seen        []bool     // trDistinct: dense code-seen table
+	distinct    int        // trDistinct: observed distinct codes
+}
+
+// see marks dictionary code v observed.
+func (tr *track) see(v float64) {
+	if c := int(v); !tr.seen[c] {
+		tr.seen[c] = true
+		tr.distinct++
+	}
+}
+
 // aggSpec is the engine-wide (group-independent) description of one
-// SELECT-list aggregate: its kind, which gather inputs feed it, the
-// catalog range bounds of those inputs, and kind parameters.
+// SELECT-list aggregate: its kind, which per-group tracks feed it, the
+// catalog range bounds of their inputs, and kind parameters.
 type aggSpec struct {
 	kind query.AggKind
-	in   int // primary input index
-	in2  int // squared input index (Var/Stddev), else -1
+	tr   int // primary track: the X track, ECDF or code-seen table
+	tr2  int // X² track (Var/Stddev), else -1
 
 	a, b   float64 // primary input catalog bounds
 	a2, b2 float64 // squared input bounds (Var/Stddev)
 
 	p        float64 // quantile (Median: 0.5, Percentile: Aggregate.P)
 	dictSize int     // CountDistinct: size of the candidate code space
-}
-
-// needsBounder reports whether the aggregate keeps a ci.State over its
-// primary input (classic mean-based kinds and the Var/Stddev X track).
-func (sp *aggSpec) needsBounder() bool {
-	switch sp.kind {
-	case query.Median, query.Percentile, query.CountDistinct:
-		return false
-	default:
-		return true
-	}
 }
 
 // varCap returns Popoviciu's bound (b−a)²/4 on the variance of a
@@ -72,24 +104,13 @@ func (sp *aggSpec) varCap() float64 {
 	return d * d / 4
 }
 
-// aggState is the per-(group, aggregate) streaming state. Classic kinds
-// (Avg/Sum/Count) carry exactly the fields the single-aggregate engine
-// kept per group, so a 1-element SELECT list runs the identical
-// arithmetic; the new kinds add their sketch alongside.
+// aggState is the per-(group, aggregate) answer state: the running
+// interval intersections across rounds. The sketches behind them live
+// in the group's tracks, which several members may share; each member
+// still intersects its own intervals at its own δ share. The classic
+// triple mirrors the single-aggregate engine; best carries the answer
+// of the sketch kinds (quantile / variance / distinct-count space).
 type aggState struct {
-	state  ci.State // bounder over the primary input (nil for sketch-only kinds)
-	state2 ci.State // bounder over the squared input (Var/Stddev only)
-
-	sum, absSum   float64 // exact running sums of the primary input
-	sum2, absSum2 float64 // exact running sums of the squared input
-
-	ecdf     stats.ECDF // retained sample (Median/Percentile)
-	seen     []bool     // dense code-seen table (CountDistinct)
-	distinct int        // observed distinct codes (CountDistinct)
-
-	// Running interval intersections across rounds. The classic triple
-	// mirrors the single-aggregate engine; best carries the answer of
-	// the sketch kinds (quantile / variance / distinct-count space).
 	bestAvg   ci.Interval
 	bestCount ci.Interval
 	bestSum   ci.Interval
@@ -119,17 +140,18 @@ func (as *aggState) answer(sp *aggSpec) ci.Interval {
 	}
 }
 
-// groupState is the streaming state for one aggregate view: per-
-// aggregate bounder/sketch states over the view's sampled rows, shared
-// exact coverage counters, and activeness (Algorithm 5). All aggregates
-// of the SELECT list share the view, so one row count (mv) serves every
-// per-aggregate count interval.
+// groupState is the streaming state for one aggregate view: the
+// deduplicated tracks over the view's sampled rows, per-aggregate
+// answer states, shared exact coverage counters, and activeness
+// (Algorithm 5). All aggregates of the SELECT list share the view, so
+// one row count (mv) serves every per-aggregate count interval.
 type groupState struct {
 	id    int
 	codes []uint32
 
-	aggs []aggState
-	mv   int // view rows observed (shared by every aggregate)
+	tracks []track
+	aggs   []aggState
+	mv     int // view rows observed (shared by every aggregate)
 
 	// extra is the coverage this group earned from blocks skipped by
 	// active scanning while the group was active (such blocks provably
@@ -140,19 +162,25 @@ type groupState struct {
 	exact  bool
 }
 
-func newGroupState(id int, codes []uint32, b ci.Bounder, specs []aggSpec, bigR int) *groupState {
+func newGroupState(id int, codes []uint32, b ci.Bounder, tracks []trackSpec, specs []aggSpec, bigR int) *groupState {
 	gs := &groupState{
 		id:     id,
 		codes:  codes,
+		tracks: make([]track, len(tracks)),
 		aggs:   make([]aggState, len(specs)),
 		active: true,
+	}
+	for i, ts := range tracks {
+		switch ts.kind {
+		case trMean:
+			gs.tracks[i].state = b.NewState()
+		case trDistinct:
+			gs.tracks[i].seen = make([]bool, ts.dictSize)
+		}
 	}
 	for i := range specs {
 		sp := &specs[i]
 		as := &gs.aggs[i]
-		if sp.needsBounder() {
-			as.state = b.NewState()
-		}
 		as.bestAvg = ci.Interval{Lo: sp.a, Hi: sp.b}
 		as.bestCount = ci.Interval{Lo: 0, Hi: float64(bigR)}
 		as.bestSum = ci.Interval{
@@ -163,11 +191,9 @@ func newGroupState(id int, codes []uint32, b ci.Bounder, specs []aggSpec, bigR i
 		case query.Median, query.Percentile:
 			as.best = ci.Interval{Lo: sp.a, Hi: sp.b}
 		case query.Var, query.Stddev:
-			as.state2 = b.NewState()
 			as.bestSq = ci.Interval{Lo: sp.a2, Hi: sp.b2}
 			as.best = ci.Interval{Lo: 0, Hi: sp.varCap()}
 		case query.CountDistinct:
-			as.seen = make([]bool, sp.dictSize)
 			as.best = ci.Interval{Lo: 0, Hi: float64(sp.dictSize)}
 		}
 	}
@@ -176,31 +202,19 @@ func newGroupState(id int, codes []uint32, b ci.Bounder, specs []aggSpec, bigR i
 
 // observeRow incorporates one view row, whose deduplicated input values
 // sit in rowVals (index-aligned with the engine's inputSpec list).
-func (gs *groupState) observeRow(specs []aggSpec, rowVals []float64) {
-	for i := range specs {
-		sp := &specs[i]
-		as := &gs.aggs[i]
-		v := rowVals[sp.in]
-		switch sp.kind {
-		case query.Median, query.Percentile:
-			as.ecdf.Add(v)
-		case query.CountDistinct:
-			if c := int(v); !as.seen[c] {
-				as.seen[c] = true
-				as.distinct++
-			}
-		case query.Var, query.Stddev:
-			as.state.Update(v)
-			as.sum += v
-			as.absSum += math.Abs(v)
-			v2 := rowVals[sp.in2]
-			as.state2.Update(v2)
-			as.sum2 += v2
-			as.absSum2 += math.Abs(v2)
-		default:
-			as.state.Update(v)
-			as.sum += v
-			as.absSum += math.Abs(v)
+func (gs *groupState) observeRow(tracks []trackSpec, rowVals []float64) {
+	for i, ts := range tracks {
+		tr := &gs.tracks[i]
+		v := rowVals[ts.in]
+		switch ts.kind {
+		case trMean:
+			tr.state.Update(v)
+			tr.sum += v
+			tr.absSum += math.Abs(v)
+		case trECDF:
+			tr.ecdf.Add(v)
+		case trDistinct:
+			tr.see(v)
 		}
 	}
 	gs.mv++
@@ -210,39 +224,26 @@ func (gs *groupState) observeRow(specs []aggSpec, rowVals []float64) {
 // the gathered input buffers, in order — byte-identical to calling
 // observeRow per row (running sums accumulate left-to-right and
 // State.UpdateBatch is contractually the same recurrence as repeated
-// Update), with one bounder dispatch per run instead of per row.
-func (gs *groupState) observeRun(specs []aggSpec, in [][]float64, lo, hi int) {
-	for i := range specs {
-		sp := &specs[i]
-		as := &gs.aggs[i]
-		vs := in[sp.in][lo:hi]
-		switch sp.kind {
-		case query.Median, query.Percentile:
-			as.ecdf.AddAll(vs)
-		case query.CountDistinct:
+// Update), with one bounder dispatch per run instead of per row. Each
+// track is fed once, however many aggregates read it.
+func (gs *groupState) observeRun(tracks []trackSpec, in [][]float64, lo, hi int) {
+	for i, ts := range tracks {
+		tr := &gs.tracks[i]
+		vs := in[ts.in][lo:hi]
+		switch ts.kind {
+		case trMean:
+			tr.state.UpdateBatch(vs)
+			sum, absSum := tr.sum, tr.absSum
 			for _, v := range vs {
-				if c := int(v); !as.seen[c] {
-					as.seen[c] = true
-					as.distinct++
-				}
+				sum += v
+				absSum += math.Abs(v)
 			}
-		case query.Var, query.Stddev:
-			as.state.UpdateBatch(vs)
+			tr.sum, tr.absSum = sum, absSum
+		case trECDF:
+			tr.ecdf.AddAll(vs)
+		case trDistinct:
 			for _, v := range vs {
-				as.sum += v
-				as.absSum += math.Abs(v)
-			}
-			vs2 := in[sp.in2][lo:hi]
-			as.state2.UpdateBatch(vs2)
-			for _, v := range vs2 {
-				as.sum2 += v
-				as.absSum2 += math.Abs(v)
-			}
-		default:
-			as.state.UpdateBatch(vs)
-			for _, v := range vs {
-				as.sum += v
-				as.absSum += math.Abs(v)
+				tr.see(v)
 			}
 		}
 	}
@@ -431,12 +432,16 @@ func (gs *groupState) closeRound(k int, coveredAll int, cfg roundConfig) {
 	deltaAgg := cfg.deltaView / float64(len(cfg.specs))
 	deltaRound := core.RoundDelta(deltaAgg, k)
 	for i := range cfg.specs {
-		gs.aggs[i].closeRound(&cfg.specs[i], gs.mv, r, &cfg, deltaRound)
+		gs.aggs[i].closeRound(&cfg.specs[i], gs.tracks, gs.mv, r, &cfg, deltaRound)
 	}
 }
 
-// closeRound recomputes one aggregate's intervals for the round.
-func (as *aggState) closeRound(sp *aggSpec, mv, r int, cfg *roundConfig, deltaRound float64) {
+// closeRound recomputes one aggregate's intervals for the round from
+// its (possibly shared) tracks. Every bounder's Lower/Upper is a pure
+// read of its state, so a track shared by several members answers each
+// of them at its own δ exactly as a private copy would.
+func (as *aggState) closeRound(sp *aggSpec, tracks []track, mv, r int, cfg *roundConfig, deltaRound float64) {
+	x := &tracks[sp.tr]
 	switch sp.kind {
 	case query.Avg, query.Sum, query.Count:
 		avgDelta, countDelta := deltaRound, deltaRound
@@ -454,17 +459,17 @@ func (as *aggState) closeRound(sp *aggSpec, mv, r int, cfg *roundConfig, deltaRo
 		} else {
 			intersect(&as.bestCount, countInterval(r, cfg.bigR, mv, countDelta))
 		}
-		intersect(&as.bestAvg, avgTrack(as.state, sp.a, sp.b, mv, r, cfg, avgDelta))
+		intersect(&as.bestAvg, avgTrack(x.state, sp.a, sp.b, mv, r, cfg, avgDelta))
 		as.bestSum = sumInterval(as.bestCount, as.bestAvg)
 
 	case query.Median, query.Percentile:
 		intersect(&as.bestCount, viewCountInterval(mv, r, cfg, deltaRound))
-		if m := as.ecdf.Count(); m > 0 {
+		if m := x.ecdf.Count(); m > 0 {
 			eps := stats.DKWEpsilon(m, deltaRound)
-			lo, hi := stats.QuantileCI(as.ecdf.Sorted(), sp.p, eps, sp.a, sp.b)
+			lo, hi := stats.QuantileCI(x.ecdf.Sorted(), sp.p, eps, sp.a, sp.b)
 			intersect(&as.best, ci.Interval{
 				Lo: lo, Hi: hi,
-				Estimate: as.ecdf.Quantile(sp.p), Samples: m,
+				Estimate: x.ecdf.Quantile(sp.p), Samples: m,
 			})
 		}
 
@@ -472,8 +477,8 @@ func (as *aggState) closeRound(sp *aggSpec, mv, r int, cfg *roundConfig, deltaRo
 		intersect(&as.bestCount, viewCountInterval(mv, r, cfg, deltaRound))
 		// Half the aggregate's round budget per mean track; the
 		// variance interval below then holds at deltaRound jointly.
-		intersect(&as.bestAvg, avgTrack(as.state, sp.a, sp.b, mv, r, cfg, deltaRound/2))
-		intersect(&as.bestSq, avgTrack(as.state2, sp.a2, sp.b2, mv, r, cfg, deltaRound/2))
+		intersect(&as.bestAvg, avgTrack(x.state, sp.a, sp.b, mv, r, cfg, deltaRound/2))
+		intersect(&as.bestSq, avgTrack(tracks[sp.tr2].state, sp.a2, sp.b2, mv, r, cfg, deltaRound/2))
 		intersect(&as.best, varFrom(as.bestAvg, as.bestSq, sp.varCap()))
 		as.bestSum = sumInterval(as.bestCount, as.bestAvg)
 
@@ -483,7 +488,7 @@ func (as *aggState) closeRound(sp *aggSpec, mv, r int, cfg *roundConfig, deltaRo
 		// bound. Unseen distinct values are capped both by the unseen
 		// codes of the dictionary and by the view rows not yet observed
 		// under the (1−δ′) view-size upper bound.
-		d := float64(as.distinct)
+		d := float64(x.distinct)
 		unseenRows := math.Max(0, math.Floor(as.bestCount.Hi)-float64(mv))
 		unseenCodes := float64(sp.dictSize) - d
 		intersect(&as.best, ci.Interval{
@@ -521,26 +526,28 @@ func (gs *groupState) finalizeExact(specs []aggSpec, bigR int) {
 	for i := range specs {
 		sp := &specs[i]
 		as := &gs.aggs[i]
+		x := &gs.tracks[sp.tr]
 		as.bestCount = ci.Interval{Lo: cnt, Hi: cnt, Estimate: cnt, Samples: bigR}
 		switch sp.kind {
 		case query.Median, query.Percentile:
 			if gs.mv > 0 {
-				q := as.ecdf.Quantile(sp.p)
+				q := x.ecdf.Quantile(sp.p)
 				as.best = ci.Interval{Lo: q, Hi: q, Estimate: q, Samples: gs.mv}
 			} else {
 				as.best = ci.Interval{Samples: gs.mv}
 			}
 		case query.CountDistinct:
-			d := float64(as.distinct)
+			d := float64(x.distinct)
 			as.best = ci.Interval{Lo: d, Hi: d, Estimate: d, Samples: gs.mv}
 		case query.Var, query.Stddev:
-			as.bestAvg = exactMean(as.sum, as.absSum, gs.mv, cnt*ulp*as.absSum)
-			as.bestSq = exactMean(as.sum2, as.absSum2, gs.mv, cnt*ulp*as.absSum2)
+			sq := &gs.tracks[sp.tr2]
+			as.bestAvg = exactMean(x.sum, x.absSum, gs.mv, cnt*ulp*x.absSum)
+			as.bestSq = exactMean(sq.sum, sq.absSum, gs.mv, cnt*ulp*sq.absSum)
 			as.best = varFrom(as.bestAvg, as.bestSq, sp.varCap())
 		default:
-			sumSlack := cnt * ulp * as.absSum
-			as.bestAvg = exactMean(as.sum, as.absSum, gs.mv, sumSlack)
-			as.bestSum = ci.Interval{Lo: as.sum - sumSlack, Hi: as.sum + sumSlack, Estimate: as.sum, Samples: gs.mv}
+			sumSlack := cnt * ulp * x.absSum
+			as.bestAvg = exactMean(x.sum, x.absSum, gs.mv, sumSlack)
+			as.bestSum = ci.Interval{Lo: x.sum - sumSlack, Hi: x.sum + sumSlack, Estimate: x.sum, Samples: gs.mv}
 		}
 	}
 	gs.active = false

@@ -177,7 +177,7 @@ func (e *engine) scanRound(blocks []int, accs []*roundAccum) {
 					}
 					gs := e.states[gid]
 					if !gs.exact {
-						gs.observeRun(e.aggs, sb.vals, i, j)
+						gs.observeRun(e.tracks, sb.vals, i, j)
 					}
 					i = j
 				}

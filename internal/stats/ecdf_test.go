@@ -1,8 +1,11 @@
 package stats
 
 import (
+	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -122,5 +125,92 @@ func TestECDFSortedProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestECDFMergeMatchesFullSort: rounds of random batches merged into a
+// growing sample leave exactly the multiset a one-shot sort produces.
+func TestECDFMergeMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 5))
+	var e ECDF
+	var all []float64
+	for round := 0; round < 50; round++ {
+		batch := make([]float64, rng.IntN(300))
+		for i := range batch {
+			batch[i] = math.Round(rng.NormFloat64() * 20)
+		}
+		e.AddAll(batch)
+		all = append(all, batch...)
+		want := append([]float64(nil), all...)
+		sort.Float64s(want)
+		if got := e.Sorted(); !slices.Equal(got, want) {
+			t.Fatalf("round %d: merged sample differs from a full sort", round)
+		}
+	}
+}
+
+// TestECDFRoundsAllocationFree: once the sample and merge scratch have
+// reached their size, a Reset keeps that capacity and further rounds of
+// AddAll+Sorted allocate nothing — the merge buffer is reused.
+func TestECDFRoundsAllocationFree(t *testing.T) {
+	rng := rand.New(rand.NewPCG(11, 13))
+	batches := make([][]float64, 20)
+	for i := range batches {
+		batches[i] = make([]float64, 500)
+		for j := range batches[i] {
+			batches[i][j] = rng.NormFloat64()
+		}
+	}
+	var e ECDF
+	rounds := func() {
+		for _, b := range batches {
+			e.AddAll(b)
+			e.Sorted()
+		}
+	}
+	rounds() // warm-up: sizes the sample and the scratch
+	e.Reset()
+	allocs := testing.AllocsPerRun(10, func() {
+		rounds()
+		e.Reset()
+	})
+	if allocs != 0 {
+		t.Fatalf("AddAll+Sorted rounds allocate %v times per run, want 0", allocs)
+	}
+}
+
+// BenchmarkECDFRounds is the per-round cost of a quantile sketch: k new
+// observations join a sorted sample of m and the sample is read back
+// sorted, as one round of a MEDIAN aggregate does.
+func BenchmarkECDFRounds(b *testing.B) {
+	const k = 2000
+	rng := rand.New(rand.NewPCG(17, 19))
+	for _, m := range []int{10_000, 100_000, 500_000} {
+		prefix := make([]float64, m)
+		for i := range prefix {
+			prefix[i] = rng.NormFloat64()
+		}
+		sort.Float64s(prefix)
+		batch := make([]float64, k)
+		for i := range batch {
+			batch[i] = rng.NormFloat64()
+		}
+		b.Run("m="+strconv.Itoa(m), func(b *testing.B) {
+			var e ECDF
+			e.AddAll(prefix)
+			e.AddAll(batch)
+			e.Sorted()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				e.Reset()
+				e.AddAll(prefix)
+				e.n = m // the prefix is already sorted
+				b.StartTimer()
+				e.AddAll(batch)
+				e.Sorted()
+			}
+		})
 	}
 }

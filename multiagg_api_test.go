@@ -147,3 +147,58 @@ func TestPercentileParamBinding(t *testing.T) {
 		}
 	}
 }
+
+// TestMedianZeroSignExhaustMatchesExact: over a column mixing −0.0 and
+// +0.0 whose medians are zero, MEDIAN run to exhaustion and QueryExact
+// fill their samples in different orders, yet report bit-equal values —
+// the two zeros compare equal under any sort, so the sample stores one
+// canonical zero.
+func TestMedianZeroSignExhaustMatchesExact(t *testing.T) {
+	tb, err := NewTableBuilder(
+		Column{Name: "x", Kind: Float},
+		Column{Name: "g", Kind: Categorical},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	negZero := math.Copysign(0, -1)
+	for i := 0; i < 6000; i++ {
+		x := []float64{negZero, 0, negZero, 0, 0, negZero, -1, 1}[(i*7+i/5)%8]
+		if err := tb.AppendRow(
+			map[string]float64{"x": x},
+			map[string]string{"g": []string{"a", "b", "c"}[i%3]},
+		); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tb.WidenBounds("x", -10, 10)
+	tab, err := tb.Build(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	q := Select(Median("x"), PercentileOf("x", 0.6)).GroupBy("g").ScanAll()
+	ex, err := tab.QueryExact(ctx, q, WithParallelism(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{1, 4} {
+		res, err := tab.Query(ctx, q, WithParallelism(p), WithRoundRows(500), WithSeed(9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Exhausted || len(res.Groups) != len(ex.Groups) {
+			t.Fatalf("P=%d: exhausted=%v, %d groups vs %d exact", p, res.Exhausted, len(res.Groups), len(ex.Groups))
+		}
+		for i, g := range res.Groups {
+			for k, iv := range g.Answers {
+				want := math.Float64bits(ex.Groups[i].Stats[k])
+				if math.Float64bits(iv.Estimate) != want || math.Float64bits(iv.Lo) != want || math.Float64bits(iv.Hi) != want {
+					t.Errorf("P=%d group %q agg %d: exhausted [%v, %v] est %v, exact %v (bits %x vs %x)",
+						p, g.Key, k, iv.Lo, iv.Hi, iv.Estimate, ex.Groups[i].Stats[k],
+						math.Float64bits(iv.Estimate), want)
+				}
+			}
+		}
+	}
+}
