@@ -210,8 +210,8 @@ func TestRetryTransientHeals(t *testing.T) {
 
 // TestQuarantineAfterExhaustedRetries makes one block fail permanently:
 // the load must stop after MaxAttempts physical reads, quarantine the
-// block, fail later pins fast (zero further reads), drop prefetches of
-// it silently, and recover fully once the fault clears and the
+// block, fail later pins fast (zero further reads), keep extents from
+// reading it ahead, and recover fully once the fault clears and the
 // quarantine is lifted.
 func TestQuarantineAfterExhaustedRetries(t *testing.T) {
 	path, _, _, _ := writeFixtureFile(t, 500, 25, 6, 6)
@@ -261,11 +261,22 @@ func TestQuarantineAfterExhaustedRetries(t *testing.T) {
 		t.Fatalf("store QuarantinedBlocks = %d, want 1", fs.QuarantinedBlocks)
 	}
 
-	// Prefetching a quarantined block is a silent no-op.
-	p.Prefetch(s, 1, []int32{0}, nil)
-	time.Sleep(20 * time.Millisecond)
+	// An extent stops before a quarantined block: block 0 loads alone,
+	// and block 1 is neither read nor hooked.
+	st0, reads := p.Stats(), s.BlocksRead()
+	f0, err := p.PinFloat(s, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Unpin(f0)
+	if st := p.Stats(); st.Misses != st0.Misses+1 || st.Prefetched != st0.Prefetched {
+		t.Fatalf("block 0 read ahead past the quarantine: %+v", st)
+	}
+	if got := s.BlocksRead() - reads; got != 1 {
+		t.Fatalf("block 0's extent read %d blocks, want 1", got)
+	}
 	if n := attempts.Load(); n != 3 {
-		t.Fatalf("prefetch of quarantined block issued a read (attempts = %d)", n)
+		t.Fatalf("extent read of a quarantined block (attempts = %d)", n)
 	}
 
 	// Heal: clear the fault and the quarantine; the block loads clean.
@@ -280,6 +291,146 @@ func TestQuarantineAfterExhaustedRetries(t *testing.T) {
 	p.Unpin(f)
 	if st := p.Stats(); st.QuarantinedBlocks != 0 {
 		t.Fatalf("QuarantinedBlocks after heal = %d, want 0", st.QuarantinedBlocks)
+	}
+}
+
+// TestFaultExtentNeighbour makes a block inside another block's extent
+// fail — by an injected I/O fault, or by a flipped byte that breaks its
+// CRC32C. The demand pin must succeed without quarantining anything;
+// the bad neighbour is dropped rather than installed, its extent-mates
+// on both sides still land, and a later pin of the neighbour loads it
+// as its own demand block through the full retry → quarantine path.
+func TestFaultExtentNeighbour(t *testing.T) {
+	for _, kind := range []ErrKind{ErrIO, ErrChecksum} {
+		t.Run(kind.String(), func(t *testing.T) {
+			path, meta, floats, _ := writeFixtureFile(t, 1000, 25, 6, 31) // 40 blocks
+			const demand, bad = 3, 6
+			if kind == ErrChecksum {
+				probe, err := Open(path, OpenOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				off := probe.dir[0].offs[bad] + 1
+				probe.Close()
+				flipByte(t, path, off)
+			}
+			s, err := Open(path, OpenOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			p := NewPool(1 << 20)
+			defer p.Close()
+			p.SetRetryPolicy(RetryPolicy{MaxAttempts: 3, Sleep: func(time.Duration) {}})
+			var hooked []int // attempts at which the bad block was hooked
+			s.SetFault(func(col, block, attempt int) error {
+				if col != 0 || block != bad {
+					return nil
+				}
+				hooked = append(hooked, attempt)
+				if kind == ErrIO {
+					return errors.New("injected permanent fault")
+				}
+				return nil
+			})
+
+			f, err := p.PinFloat(s, 0, demand)
+			if err != nil {
+				t.Fatalf("demand pin failed on a bad neighbour: %v", err)
+			}
+			p.Unpin(f)
+			st := p.Stats()
+			if st.QuarantinedBlocks != 0 || st.Retries != 0 {
+				t.Fatalf("bad neighbour was retried or quarantined: %+v", st)
+			}
+			if st.Prefetched != extentBlocks-1 {
+				t.Fatalf("Prefetched = %d, want %d (the bad segment was read once)", st.Prefetched, extentBlocks-1)
+			}
+			if len(hooked) != 1 || hooked[0] != 0 {
+				t.Fatalf("bad neighbour hooked at attempts %v, want [0]", hooked)
+			}
+			reads := s.BlocksRead()
+			for _, b := range []int{bad - 1, bad + 1, demand + extentBlocks - 1} {
+				g, err := p.PinFloat(s, 0, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, v := range g.Floats() {
+					if math.Float64bits(v) != math.Float64bits(floats[0][b*meta.BlockSize+i]) {
+						t.Fatalf("extent-mate %d row %d differs", b, i)
+					}
+				}
+				p.Unpin(g)
+			}
+			if s.BlocksRead() != reads {
+				t.Fatal("extent-mates of the bad neighbour were not installed")
+			}
+
+			// The neighbour alone: MaxAttempts reads of it, then
+			// quarantine. Its extent stops at the resident block after it.
+			_, err = p.PinFloat(s, 0, bad)
+			var be *BlockError
+			if !errors.As(err, &be) || be.Block != bad || be.Kind != kind {
+				t.Fatalf("neighbour pin: want %s error at block %d, got %v", kind, bad, err)
+			}
+			if got := s.BlocksRead() - reads; got != 3 {
+				t.Fatalf("neighbour load read %d segments, want 3 (one per attempt)", got)
+			}
+			if kind == ErrIO && (len(hooked) != 4 || hooked[1] != 0 || hooked[2] != 1 || hooked[3] != 2) {
+				t.Fatalf("hook attempts %v, want [0 0 1 2]", hooked)
+			}
+			st = p.Stats()
+			if st.QuarantinedBlocks != 1 || st.Retries != 2 {
+				t.Fatalf("after neighbour load: %+v", st)
+			}
+			failures := st.IOErrors
+			if kind == ErrChecksum {
+				failures = st.ChecksumFailures
+			}
+			if failures != 4 {
+				t.Fatalf("%s failures = %d, want 4 (one as neighbour, three as demand)", kind, failures)
+			}
+		})
+	}
+}
+
+// TestFaultExtentDemandAttempts corrupts the demand block of an extent:
+// the fault hook must see it at attempts 0..MaxAttempts-1 exactly once
+// each, the block must then be quarantined, and its healthy read-ahead
+// neighbours must still be installed.
+func TestFaultExtentDemandAttempts(t *testing.T) {
+	s, _, _, _ := openFixtureStore(t, 1000, 25, 6, 32)
+	p := NewPool(1 << 20)
+	defer p.Close()
+	p.SetRetryPolicy(RetryPolicy{MaxAttempts: 4, Sleep: func(time.Duration) {}})
+	var hooked []int
+	s.SetFault(func(col, block, attempt int) error {
+		if col == 2 && block == 10 {
+			hooked = append(hooked, attempt)
+			return errors.New("injected permanent fault")
+		}
+		return nil
+	})
+	if _, err := p.PinFloat(s, 2, 10); err == nil {
+		t.Fatal("corrupt demand block pinned")
+	}
+	if len(hooked) != 4 || hooked[0] != 0 || hooked[1] != 1 || hooked[2] != 2 || hooked[3] != 3 {
+		t.Fatalf("hook attempts %v, want [0 1 2 3]", hooked)
+	}
+	st := p.Stats()
+	if st.QuarantinedBlocks != 1 || st.Retries != 3 || st.IOErrors != 4 {
+		t.Fatalf("stats: %+v", st)
+	}
+	reads := s.BlocksRead()
+	for b := 11; b < 10+extentBlocks; b++ {
+		f, err := p.PinFloat(s, 2, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Unpin(f)
+	}
+	if s.BlocksRead() != reads {
+		t.Error("read-ahead neighbours of a failed demand block were not installed")
 	}
 }
 

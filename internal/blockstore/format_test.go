@@ -60,7 +60,7 @@ func buildFixture(rng *rand.Rand, rows, blockSize, dictLen int) (*Meta, [][]floa
 	return meta, [][]float64{smooth, nil, noisy}, [][]uint32{nil, codes, nil}
 }
 
-func writeFixture(t *testing.T, meta *Meta, floats [][]float64, codes [][]uint32) []byte {
+func writeFixture(t testing.TB, meta *Meta, floats [][]float64, codes [][]uint32) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, meta)
@@ -153,7 +153,7 @@ func TestWriteReadSequential(t *testing.T) {
 	}
 }
 
-func writeFixtureFile(t *testing.T, rows, blockSize, dictLen int, seed uint64) (string, *Meta, [][]float64, [][]uint32) {
+func writeFixtureFile(t testing.TB, rows, blockSize, dictLen int, seed uint64) (string, *Meta, [][]float64, [][]uint32) {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(seed, seed+1))
 	meta, floats, codes := buildFixture(rng, rows, blockSize, dictLen)

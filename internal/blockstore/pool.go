@@ -7,21 +7,27 @@ import (
 )
 
 // Pool is a shared buffer pool of decoded column blocks: queries pin
-// the blocks they are scanning, an LRU keeps recently used blocks
-// decoded under a byte budget, and a background prefetcher warms the
-// next wanted blocks of a scan. One pool is typically shared by every
+// the blocks they are scanning, and an LRU keeps recently used blocks
+// decoded under a byte budget. One pool is typically shared by every
 // out-of-core table of a process, so the budget bounds total decoded
 // block memory.
 //
-// Concurrency: a single mutex guards the frame map, the LRU list and
-// the counters; segment reads and decodes happen outside the lock with
-// the frame held in a loading state, and concurrent pinners of the
-// same block wait on a condition variable (one physical read per
-// block, no matter how many queries want it — the buffer-pool
-// counterpart of the shared scans' one-fetch-per-cohort property).
+// Frames sit in a dense per-(store, column) table indexed by block, so
+// a warm pin is a last-store pointer compare plus a slice index. A
+// demand miss reads an extent — the block and up to extentBlocks-1
+// following blocks of its column, stopping at the first that is
+// resident, loading, quarantined or not file-contiguous — in one
+// physical read. Every segment of it passes the fault hook, the v4
+// CRC32C and the decode before its frame is installed; the read-ahead
+// frames enter the LRU unpinned.
 //
-// Memory: evicted frames keep their decoded buffers on a freelist, so
-// a warmed-up pool pins and evicts without allocating.
+// Concurrency: one mutex guards the frame tables, the LRU and the
+// counters. Reads and decodes happen outside the lock with the
+// extent's frames in a loading state; concurrent pinners of any of
+// them wait on a condition variable, so an extent is read once no
+// matter how many queries want it. Evicted frames keep their decoded
+// buffers on a freelist and reads go through pool-owned buffers, so a
+// warmed-up pool pins, reads and evicts without allocating.
 type Pool struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -29,13 +35,20 @@ type Pool struct {
 	budget int64
 	used   int64
 
-	frames map[frameKey]*Frame
+	// tables holds each store's frame table; last is the most recently
+	// pinned store's, which spares the warm path the map lookup.
+	tables map[*Store]*frameTable
+	last   *frameTable
+
 	// lruHead is the most recently used unpinned frame; lruTail the
 	// eviction candidate.
 	lruHead, lruTail *Frame
 
 	freeFloat []*Frame
 	freeCat   []*Frame
+	// bufs are the idle read buffers: a loader borrows one for its read
+	// and decode, so they grow only to the widest extent.
+	bufs [][]byte
 
 	hits, misses, evictions, prefetched int64
 	bytesRead                           int64
@@ -46,16 +59,16 @@ type Pool struct {
 	// quarantine holds blocks whose loads failed permanently (retries
 	// exhausted, or deterministic corruption): later pins fail fast with
 	// the recorded error instead of re-reading a known-bad segment.
-	// Quarantined blocks are never in the frame map, so the check rides
+	// Quarantined blocks are never in a frame table, so the check rides
 	// the miss path — the warm pin path is untouched.
 	quarantine map[frameKey]*BlockError
 
 	retry RetryPolicy
-
-	prefetchCh   chan prefetchReq
-	prefetchOnce sync.Once
-	closed       chan struct{}
 }
+
+// extentBlocks is the most blocks one demand miss reads: the demand
+// block and up to extentBlocks-1 following blocks of its column.
+const extentBlocks = 16
 
 type frameKey struct {
 	store *Store
@@ -63,20 +76,27 @@ type frameKey struct {
 	block int32
 }
 
+// frameTable is one store's frames: cols[ci][b] is column ci's block b,
+// nil when not cached. A column's slice is sized from the store's
+// directory on the column's first pin.
+type frameTable struct {
+	store *Store
+	cols  [][]*Frame
+}
+
 // Frame is one pinned decoded block. Callers read Floats or Codes
 // (whichever matches the column kind) and must Unpin when done with
 // the block; the slices are invalid after the unpin.
 type Frame struct {
-	key     frameKey
-	isFloat bool
-	pins    int
-	loading bool
-	err     error
+	tab        *frameTable
+	col, block int32
+	isFloat    bool
+	pins       int
+	loading    bool
 
-	floats  []float64
-	codes   []uint32
-	scratch []byte // segment read buffer (pread path)
-	bytes   int64  // budget charge
+	floats []float64
+	codes  []uint32
+	bytes  int64 // budget charge
 
 	prev, next *Frame
 	inLRU      bool
@@ -87,14 +107,6 @@ func (f *Frame) Floats() []float64 { return f.floats }
 
 // Codes returns the decoded dictionary codes of the pinned block.
 func (f *Frame) Codes() []uint32 { return f.codes }
-
-type prefetchReq struct {
-	store *Store
-	block int32
-	// fcols and ccols are the float/cat column indices to warm. The
-	// slices are owned by the requester and must stay immutable.
-	fcols, ccols []int32
-}
 
 // DefaultPoolBytes is the pool budget used when none is configured:
 // 64 MiB of decoded blocks.
@@ -140,17 +152,16 @@ func (rp RetryPolicy) delay(n int) time.Duration {
 
 // NewPool returns a pool with the given decoded-byte budget
 // (DefaultPoolBytes if budget ≤ 0). The budget is a target, not a hard
-// cap: pinned frames are never evicted, so a working set larger than
-// the budget temporarily exceeds it.
+// cap: pinned and loading frames are never evicted, so a working set
+// larger than the budget temporarily exceeds it.
 func NewPool(budget int64) *Pool {
 	if budget <= 0 {
 		budget = DefaultPoolBytes
 	}
 	p := &Pool{
 		budget:     budget,
-		frames:     map[frameKey]*Frame{},
+		tables:     map[*Store]*frameTable{},
 		quarantine: map[frameKey]*BlockError{},
-		closed:     make(chan struct{}),
 		retry:      DefaultRetryPolicy(),
 	}
 	p.cond = sync.NewCond(&p.mu)
@@ -184,15 +195,34 @@ func (p *Pool) ClearQuarantine(s *Store) (removed int) {
 	return removed
 }
 
-// Close stops the prefetcher. Frames become unusable; the caller must
-// have unpinned everything.
-func (p *Pool) Close() {
+// Close is a no-op kept for callers that release pools explicitly: the
+// pool owns no goroutine or file, its frames are freed with it, and a
+// table's frames leave it when the table closes.
+func (p *Pool) Close() {}
+
+// drop releases store s's unpinned frames, its frame table and its
+// quarantine entries; Store.Close calls it for every pool that paged
+// the store, so a closed table stops holding budget.
+func (p *Pool) drop(s *Store) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	select {
-	case <-p.closed:
-	default:
-		close(p.closed)
+	if tab := p.tables[s]; tab != nil {
+		for _, col := range tab.cols {
+			for _, f := range col {
+				if f != nil && f.inLRU {
+					p.release(f)
+				}
+			}
+		}
+		delete(p.tables, s)
+		if p.last == tab {
+			p.last = nil
+		}
+	}
+	for k := range p.quarantine {
+		if k.store == s {
+			delete(p.quarantine, k)
+		}
 	}
 }
 
@@ -202,9 +232,11 @@ type Stats struct {
 	// decoded bytes currently cached (pinned + LRU).
 	BudgetBytes int64
 	UsedBytes   int64
-	// Hits and Misses count Pin calls served from cache vs loaded from
-	// disk; Evictions counts frames dropped under budget pressure;
-	// Prefetched counts blocks loaded by the background prefetcher.
+	// Hits counts Pin calls served from cache — including blocks an
+	// earlier extent read ahead; Misses counts demand loads (one extent
+	// read each); Evictions counts frames dropped under budget
+	// pressure; Prefetched counts segments read ahead by extent reads.
+	// Misses + Prefetched is the number of segments physically read.
 	Hits, Misses, Evictions, Prefetched int64
 	// BytesRead is the compressed segment bytes physically read.
 	BytesRead int64
@@ -239,34 +271,36 @@ func (p *Pool) Stats() Stats {
 // PinFloat pins block b of float column ci, loading and decoding it if
 // absent. The frame stays resident until the matching Unpin.
 func (p *Pool) PinFloat(s *Store, ci, b int) (*Frame, error) {
-	return p.pin(s, ci, b, true, false)
+	return p.pin(s, ci, b, true)
 }
 
 // PinCat pins block b of categorical column ci.
 func (p *Pool) PinCat(s *Store, ci, b int) (*Frame, error) {
-	return p.pin(s, ci, b, false, false)
+	return p.pin(s, ci, b, false)
 }
 
-func (p *Pool) pin(s *Store, ci, b int, isFloat, prefetch bool) (*Frame, error) {
-	key := frameKey{store: s, col: int32(ci), block: int32(b)}
+func (p *Pool) pin(s *Store, ci, b int, isFloat bool) (*Frame, error) {
 	p.mu.Lock()
+	tab := p.last
+	if tab == nil || tab.store != s {
+		tab = p.table(s)
+	}
+	col := tab.cols[ci]
+	if col == nil {
+		col = make([]*Frame, len(s.dir[ci].offs))
+		tab.cols[ci] = col
+	}
 	for {
-		f, ok := p.frames[key]
-		if !ok {
+		f := col[b]
+		if f == nil {
 			break
 		}
 		if f.loading {
-			// Another goroutine is reading this very block: wait for it
-			// rather than issuing a duplicate read, then re-check (the
-			// load may have failed and removed the frame).
+			// Another goroutine's extent read covers this block: wait
+			// for it rather than issuing a duplicate read, then re-check
+			// (the load may have failed and removed the frame).
 			p.cond.Wait()
 			continue
-		}
-		if prefetch {
-			// Already resident: the prefetch is a no-op and counts
-			// nothing.
-			p.mu.Unlock()
-			return nil, nil
 		}
 		f.pins++
 		if f.inLRU {
@@ -278,119 +312,185 @@ func (p *Pool) pin(s *Store, ci, b int, isFloat, prefetch bool) (*Frame, error) 
 	}
 
 	// Miss: a quarantined block fails fast with its recorded error —
-	// no further physical reads of a known-bad segment. Prefetches of
-	// quarantined blocks drop silently.
-	if qerr, bad := p.quarantine[key]; bad {
+	// no further physical reads of a known-bad segment.
+	if qerr := p.quarantined(s, ci, b); qerr != nil {
 		p.mu.Unlock()
-		if prefetch {
-			return nil, nil
-		}
 		return nil, qerr
 	}
 
-	// Claim the key with a loading frame, then read outside the lock.
-	rp := p.retry
-	f := p.allocFrame(isFloat)
-	f.key = key
-	f.isFloat = isFloat
+	// Claim the extent with loading frames, then read outside the lock.
+	var ext [extentBlocks]*Frame
+	n := 0
+	for n < extentBlocks {
+		j := b + n
+		if n > 0 && (j == len(col) || col[j] != nil || !s.contiguous(ci, j) || p.quarantined(s, ci, j) != nil) {
+			break
+		}
+		ext[n] = p.claim(tab, ci, j, isFloat)
+		p.bytesRead += int64(s.dir[ci].lens[j])
+		n++
+	}
+	f := ext[0]
 	f.pins = 1
-	f.loading = true
-	f.err = nil
-	rows := int64(s.meta.BlockRows(b))
-	if isFloat {
-		f.bytes = rows * 8
-	} else {
-		f.bytes = rows * 4
+	p.misses++
+	p.prefetched += int64(n - 1)
+	var buf []byte
+	if k := len(p.bufs); k > 0 {
+		buf = p.bufs[k-1]
+		p.bufs = p.bufs[:k-1]
 	}
-	p.frames[key] = f
-	p.used += f.bytes
-	if prefetch {
-		p.prefetched++
-	} else {
-		p.misses++
-	}
-	p.bytesRead += int64(s.dir[ci].lens[b])
+	rp := p.retry
 	p.evictLocked()
 	p.mu.Unlock()
 
-	// Load with retry: transient failures (I/O, checksum — a torn read
-	// may verify clean next time) back off and re-read while the frame
-	// stays in loading state, so concurrent pinners of the same block
-	// keep waiting on the one load rather than racing their own reads.
-	// Deterministic decode corruption is never retried. A load that
-	// succeeds after retries is indistinguishable from a clean one —
-	// same decoded bytes, so query results are byte-identical.
-	var err error
-	var nIO, nChecksum, nRetries int64
-	attempt := 0
-	for {
-		if isFloat {
-			f.floats, f.scratch, err = s.readFloatBlock(ci, b, f.floats, f.scratch, attempt)
-		} else {
-			f.codes, f.scratch, err = s.readCatBlock(ci, b, f.codes, f.scratch, attempt)
+	// One read for the whole extent, then the per-segment gate (fault
+	// hook, CRC32C) and decode. A failed read-ahead segment is dropped,
+	// never quarantined: a later pin loads it as its own demand block,
+	// through the full retry path.
+	var errs [extentBlocks]error
+	raw, buf, spanErr := s.span(ci, b, n, buf)
+	for i, g := range ext[:n] {
+		if errs[i] = spanErr; spanErr == nil {
+			j := b + i
+			var seg []byte
+			if seg, errs[i] = s.check(ci, j, 0, raw[s.dir[ci].offs[j]-s.dir[ci].offs[b]:]); errs[i] == nil {
+				errs[i] = g.decode(s, seg)
+			}
 		}
-		if err == nil {
-			break
+	}
+
+	p.mu.Lock()
+	for i, g := range ext[1:n] {
+		if errs[i+1] == nil {
+			g.loading = false
+			p.lruPush(g)
+			continue
 		}
-		kind := ErrIO
-		var be *BlockError
-		if errors.As(err, &be) {
-			kind = be.Kind
+		if spanErr == nil { // a failed span read counts once, on the demand block
+			p.noteFailure(s, errs[i+1])
 		}
-		if kind == ErrIO {
-			nIO++
-		} else {
-			nChecksum++
-		}
-		s.noteFault(time.Now().UnixNano())
-		if kind == ErrDecode || attempt+1 >= rp.MaxAttempts {
+		p.release(g)
+	}
+	p.cond.Broadcast()
+
+	// Retry the demand block alone: transient failures (I/O, checksum —
+	// a torn read may verify clean next time) back off and re-read while
+	// the frame stays loading, so its concurrent pinners keep waiting on
+	// the one load. Deterministic decode corruption is never retried. A
+	// load that succeeds after retries is indistinguishable from a clean
+	// one — same decoded bytes, so query results are byte-identical.
+	err := errs[0]
+	for attempt := 0; err != nil; {
+		p.noteFailure(s, err)
+		if errKind(err) == ErrDecode || attempt+1 >= rp.MaxAttempts {
 			break
 		}
 		attempt++
-		nRetries++
+		p.retries++
 		s.noteRetry()
+		p.mu.Unlock()
 		sleep := rp.Sleep
 		if sleep == nil {
 			sleep = time.Sleep
 		}
 		sleep(rp.delay(attempt))
+		var seg []byte
+		if seg, buf, err = s.segment(ci, b, buf, attempt); err == nil {
+			err = f.decode(s, seg)
+		}
+		p.mu.Lock()
 	}
-
-	p.mu.Lock()
-	f.loading = false
-	p.ioErrors += nIO
-	p.checksumFailures += nChecksum
-	p.retries += nRetries
+	p.bufs = append(p.bufs, buf)
 	if err != nil {
 		// Permanent failure: quarantine the block so later pins fail
-		// fast, remove the frame, and recycle the buffers.
+		// fast, and recycle the frame.
 		var be *BlockError
 		if errors.As(err, &be) {
+			key := frameKey{store: s, col: int32(ci), block: int32(b)}
 			if _, dup := p.quarantine[key]; !dup {
 				p.quarantine[key] = be
 				s.noteQuarantine()
 			}
 		}
-		f.pins = 0
-		delete(p.frames, key)
-		p.used -= f.bytes
-		p.freeFrame(f)
+		p.release(f)
 		p.cond.Broadcast()
 		p.mu.Unlock()
 		return nil, err
 	}
+	f.loading = false
 	p.cond.Broadcast()
-	if prefetch {
-		// The prefetcher holds no pin: park the frame straight in the
-		// LRU for the scan to hit.
-		f.pins = 0
-		p.lruPush(f)
-	}
 	p.mu.Unlock()
-	if prefetch {
-		return nil, nil
-	}
 	return f, nil
+}
+
+// table returns store s's frame table, creating it on the store's first
+// pin, and makes it the last-store cache. Caller holds p.mu.
+func (p *Pool) table(s *Store) *frameTable {
+	tab := p.tables[s]
+	if tab == nil {
+		tab = &frameTable{store: s, cols: make([][]*Frame, len(s.dir))}
+		p.tables[s] = tab
+		s.pools.Store(p, nil)
+	}
+	p.last = tab
+	return tab
+}
+
+// quarantined returns the recorded error of a quarantined block, nil
+// for a healthy one. Caller holds p.mu.
+func (p *Pool) quarantined(s *Store, ci, b int) *BlockError {
+	if len(p.quarantine) == 0 {
+		return nil
+	}
+	return p.quarantine[frameKey{store: s, col: int32(ci), block: int32(b)}]
+}
+
+// claim installs an unpinned loading frame for block b of column ci and
+// charges it to the budget. Caller holds p.mu.
+func (p *Pool) claim(tab *frameTable, ci, b int, isFloat bool) *Frame {
+	f := p.allocFrame(isFloat)
+	f.tab, f.col, f.block = tab, int32(ci), int32(b)
+	f.isFloat = isFloat
+	f.pins = 0
+	f.loading = true
+	f.bytes = int64(tab.store.meta.BlockRows(b)) * 4
+	if isFloat {
+		f.bytes *= 2
+	}
+	tab.cols[ci][b] = f
+	p.used += f.bytes
+	return f
+}
+
+// noteFailure counts one failed load attempt against the pool and the
+// store. Caller holds p.mu.
+func (p *Pool) noteFailure(s *Store, err error) {
+	if errKind(err) == ErrIO {
+		p.ioErrors++
+	} else {
+		p.checksumFailures++
+	}
+	s.noteFault(time.Now().UnixNano())
+}
+
+// errKind classifies a load error; unclassified errors count as I/O.
+func errKind(err error) ErrKind {
+	var be *BlockError
+	if errors.As(err, &be) {
+		return be.Kind
+	}
+	return ErrIO
+}
+
+// decode decodes a verified segment into the frame's buffers.
+func (f *Frame) decode(s *Store, seg []byte) (err error) {
+	rows := s.meta.BlockRows(int(f.block))
+	if f.isFloat {
+		f.floats, err = DecodeFloatBlock(seg, f.floats, rows)
+	} else {
+		f.codes, err = DecodeCatBlock(seg, f.codes, rows)
+	}
+	return s.decodeErr(int(f.col), int(f.block), err)
 }
 
 // Unpin releases a pinned frame. The frame's slices must not be used
@@ -411,15 +511,11 @@ func (p *Pool) Unpin(f *Frame) {
 }
 
 // evictLocked drops LRU frames until the budget holds or only pinned
-// frames remain. Caller holds p.mu.
+// and loading frames remain. Caller holds p.mu.
 func (p *Pool) evictLocked() {
 	for p.used > p.budget && p.lruTail != nil {
-		f := p.lruTail
-		p.lruRemove(f)
-		delete(p.frames, f.key)
-		p.used -= f.bytes
+		p.release(p.lruTail)
 		p.evictions++
-		p.freeFrame(f)
 	}
 }
 
@@ -440,11 +536,15 @@ func (p *Pool) allocFrame(isFloat bool) *Frame {
 	return &Frame{}
 }
 
-// freeFrame parks a frame's buffers for reuse. Caller holds p.mu.
-func (p *Pool) freeFrame(f *Frame) {
-	f.key = frameKey{}
-	f.prev, f.next = nil, nil
-	f.inLRU = false
+// release removes an unpinned (or failed loading) frame from its table
+// and the budget, and parks its buffers for reuse. Caller holds p.mu.
+func (p *Pool) release(f *Frame) {
+	if f.inLRU {
+		p.lruRemove(f)
+	}
+	f.tab.cols[f.col][f.block] = nil
+	f.tab = nil
+	p.used -= f.bytes
 	if f.isFloat {
 		p.freeFloat = append(p.freeFloat, f)
 	} else {
@@ -481,36 +581,4 @@ func (p *Pool) lruRemove(f *Frame) {
 	}
 	f.prev, f.next = nil, nil
 	f.inLRU = false
-}
-
-// Prefetch asks the background prefetcher to warm block b of the given
-// float and cat columns. Non-blocking: requests are dropped when the
-// prefetcher is saturated (prefetching is advisory — the scan will
-// simply miss and read synchronously). The column slices must stay
-// immutable after the call.
-func (p *Pool) Prefetch(s *Store, b int, fcols, ccols []int32) {
-	p.prefetchOnce.Do(func() {
-		p.prefetchCh = make(chan prefetchReq, 128)
-		go p.prefetchLoop()
-	})
-	select {
-	case p.prefetchCh <- prefetchReq{store: s, block: int32(b), fcols: fcols, ccols: ccols}:
-	default:
-	}
-}
-
-func (p *Pool) prefetchLoop() {
-	for {
-		select {
-		case <-p.closed:
-			return
-		case req := <-p.prefetchCh:
-			for _, ci := range req.fcols {
-				_, _ = p.pin(req.store, int(ci), int(req.block), true, true)
-			}
-			for _, ci := range req.ccols {
-				_, _ = p.pin(req.store, int(ci), int(req.block), false, true)
-			}
-		}
-	}
 }

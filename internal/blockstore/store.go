@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"sync"
 	"sync/atomic"
 )
 
@@ -25,8 +26,10 @@ type Store struct {
 	label   string
 
 	// dir is the segment directory: dir[ci].offs[b] / lens[b] locate
-	// column ci's block b in the file.
+	// column ci's block b in the file. pad is the checksum width after
+	// each payload (4 on v4, 0 on v3).
 	dir []colDir
+	pad int64
 
 	// bytesRead and blocksRead count physical segment reads (both pread
 	// and mmap paths), for the pool counters.
@@ -45,6 +48,9 @@ type Store struct {
 
 	// fault holds the injected FaultFunc (test seam); see SetFault.
 	fault atomic.Value
+
+	// pools holds (as keys) the pools that paged this store, for Close.
+	pools sync.Map
 }
 
 type colDir struct {
@@ -181,7 +187,7 @@ func newStore(f *os.File, opts OpenOptions) (*Store, error) {
 		dir[ci] = colDir{offs: offs, lens: lens}
 	}
 
-	s := &Store{f: f, meta: meta, version: version, dir: dir}
+	s := &Store{f: f, meta: meta, version: version, dir: dir, pad: segPad}
 	if opts.Mmap {
 		mm, err := mmapFile(f, size)
 		if err != nil {
@@ -271,9 +277,15 @@ func (s *Store) blockErr(ci, b int, kind ErrKind, err error) *BlockError {
 	return &BlockError{Table: s.label, Col: ci, Block: b, Kind: kind, Err: err}
 }
 
-// Close unmaps and closes the underlying file. The caller must ensure
-// no pinned frames of this store remain in any pool.
+// Close releases the store's frames, frame tables and quarantine
+// entries in every pool that paged it, then unmaps and closes the
+// underlying file. The caller must ensure no pinned frames of this
+// store remain in any pool.
 func (s *Store) Close() error {
+	s.pools.Range(func(p, _ any) bool {
+		p.(*Pool).drop(s)
+		return true
+	})
 	if s.mm != nil {
 		if err := munmap(s.mm); err != nil {
 			return err
@@ -287,95 +299,105 @@ func (s *Store) Close() error {
 func (s *Store) BytesRead() int64  { return s.bytesRead.Load() }
 func (s *Store) BlocksRead() int64 { return s.blocksRead.Load() }
 
-// segment returns the raw bytes of segment (ci, b), reading into
-// scratch on the pread path or slicing the mapping on the mmap path.
-// On v4 stores the segment's CRC32C is verified before the bytes are
-// returned. attempt numbers the pool's retries of one logical load
-// (0 for first try) and is passed to the fault hook. The returned
-// scratch slice must be passed back on the next call to reuse its
-// backing array.
-func (s *Store) segment(ci, b int, scratch []byte, attempt int) (seg, newScratch []byte, err error) {
-	if v := s.fault.Load(); v != nil {
-		if fn, _ := v.(FaultFunc); fn != nil {
-			if ferr := fn(ci, b, attempt); ferr != nil {
-				return nil, scratch, s.blockErr(ci, b, ErrIO, ferr)
-			}
-		}
+// contiguous reports whether block b of column ci starts right after
+// block b-1 in the file, so that one read can cover both.
+func (s *Store) contiguous(ci, b int) bool {
+	d := s.dir[ci]
+	return d.offs[b] == d.offs[b-1]+int64(d.lens[b-1])+s.pad+4
+}
+
+// span returns the raw bytes of the n file-contiguous segments of
+// column ci from block b0 on: one pread into scratch (regrown if too
+// small), or a slice of the mapping. The read counters are bumped once
+// for the whole span.
+func (s *Store) span(ci, b0, n int, scratch []byte) (raw, newScratch []byte, err error) {
+	d := s.dir[ci]
+	last := b0 + n - 1
+	off := d.offs[b0]
+	end := d.offs[last] + int64(d.lens[last]) + s.pad
+	var payload int64
+	for _, ln := range d.lens[b0 : last+1] {
+		payload += int64(ln)
 	}
-	off, ln := s.dir[ci].offs[b], int(s.dir[ci].lens[b])
-	s.bytesRead.Add(int64(ln))
-	s.blocksRead.Add(1)
-	verified := s.version >= Version
+	s.bytesRead.Add(payload)
+	s.blocksRead.Add(int64(n))
 	if s.mm != nil {
-		seg = s.mm[off : off+int64(ln)]
-		if verified {
-			stored := binary.LittleEndian.Uint32(s.mm[off+int64(ln):])
-			if got := crc32.Checksum(seg, castagnoli); got != stored {
-				return nil, scratch, s.blockErr(ci, b, ErrChecksum,
-					fmt.Errorf("stored %08x, computed %08x", stored, got))
-			}
-		}
-		return seg, scratch, nil
+		return s.mm[off:end], scratch, nil
 	}
-	want := ln
-	if verified {
-		want += 4
-	}
+	want := int(end - off)
 	if cap(scratch) < want {
 		scratch = make([]byte, want)
 	}
 	scratch = scratch[:want]
 	if _, err := s.f.ReadAt(scratch, off); err != nil {
-		return nil, scratch, s.blockErr(ci, b, ErrIO, err)
+		return nil, scratch, s.blockErr(ci, b0, ErrIO, err)
 	}
-	seg = scratch[:ln]
-	if verified {
-		stored := binary.LittleEndian.Uint32(scratch[ln:])
+	return scratch, scratch, nil
+}
+
+// check gates the bytes of segment (ci, b), raw starting at its
+// payload: the fault hook (attempt numbers the pool's retries of one
+// logical load, 0 for first try), then on v4 the CRC32C. It returns
+// the payload.
+func (s *Store) check(ci, b, attempt int, raw []byte) ([]byte, error) {
+	if v := s.fault.Load(); v != nil {
+		if fn, _ := v.(FaultFunc); fn != nil {
+			if ferr := fn(ci, b, attempt); ferr != nil {
+				return nil, s.blockErr(ci, b, ErrIO, ferr)
+			}
+		}
+	}
+	ln := int(s.dir[ci].lens[b])
+	seg := raw[:ln]
+	if s.version >= Version {
+		stored := binary.LittleEndian.Uint32(raw[ln:])
 		if got := crc32.Checksum(seg, castagnoli); got != stored {
-			return nil, scratch, s.blockErr(ci, b, ErrChecksum,
+			return nil, s.blockErr(ci, b, ErrChecksum,
 				fmt.Errorf("stored %08x, computed %08x", stored, got))
 		}
 	}
-	return seg, scratch, nil
+	return seg, nil
 }
 
-// readFloatBlock decodes block b of float column ci into dst (reusing
+// segment returns the verified payload of segment (ci, b), reading it
+// alone into scratch on the pread path. The returned scratch slice must
+// be passed back on the next call to reuse its backing array.
+func (s *Store) segment(ci, b int, scratch []byte, attempt int) (seg, newScratch []byte, err error) {
+	raw, scratch, err := s.span(ci, b, 1, scratch)
+	if err != nil {
+		return nil, scratch, err
+	}
+	seg, err = s.check(ci, b, attempt, raw)
+	return seg, scratch, err
+}
+
+// ReadFloatBlock decodes block b of float column ci into dst (reusing
 // its backing array), verifying the segment checksum on v4 stores.
-// attempt numbers the pool's retries of one logical load. Decode
-// failures are classified ErrDecode (deterministic, never retried).
-func (s *Store) readFloatBlock(ci, b int, dst []float64, scratch []byte, attempt int) ([]float64, []byte, error) {
-	seg, scratch, err := s.segment(ci, b, scratch, attempt)
+// scratch is the caller's read buffer, returned possibly regrown.
+func (s *Store) ReadFloatBlock(ci, b int, dst []float64, scratch []byte) ([]float64, []byte, error) {
+	seg, scratch, err := s.segment(ci, b, scratch, 0)
 	if err != nil {
 		return dst[:0], scratch, err
 	}
 	dst, err = DecodeFloatBlock(seg, dst, s.meta.BlockRows(b))
-	if err != nil {
-		return dst[:0], scratch, s.blockErr(ci, b, ErrDecode, err)
-	}
-	return dst, scratch, nil
-}
-
-// readCatBlock decodes block b of categorical column ci into dst.
-func (s *Store) readCatBlock(ci, b int, dst []uint32, scratch []byte, attempt int) ([]uint32, []byte, error) {
-	seg, scratch, err := s.segment(ci, b, scratch, attempt)
-	if err != nil {
-		return dst[:0], scratch, err
-	}
-	dst, err = DecodeCatBlock(seg, dst, s.meta.BlockRows(b))
-	if err != nil {
-		return dst[:0], scratch, s.blockErr(ci, b, ErrDecode, err)
-	}
-	return dst, scratch, nil
-}
-
-// ReadFloatBlock decodes block b of float column ci into dst (reusing
-// its backing array). scratch is the caller's read buffer, returned
-// possibly regrown.
-func (s *Store) ReadFloatBlock(ci, b int, dst []float64, scratch []byte) ([]float64, []byte, error) {
-	return s.readFloatBlock(ci, b, dst, scratch, 0)
+	return dst, scratch, s.decodeErr(ci, b, err)
 }
 
 // ReadCatBlock decodes block b of categorical column ci into dst.
 func (s *Store) ReadCatBlock(ci, b int, dst []uint32, scratch []byte) ([]uint32, []byte, error) {
-	return s.readCatBlock(ci, b, dst, scratch, 0)
+	seg, scratch, err := s.segment(ci, b, scratch, 0)
+	if err != nil {
+		return dst[:0], scratch, err
+	}
+	dst, err = DecodeCatBlock(seg, dst, s.meta.BlockRows(b))
+	return dst, scratch, s.decodeErr(ci, b, err)
+}
+
+// decodeErr classifies a decode failure of (ci, b) as ErrDecode
+// (deterministic, never retried); nil stays nil.
+func (s *Store) decodeErr(ci, b int, err error) error {
+	if err == nil {
+		return nil
+	}
+	return s.blockErr(ci, b, ErrDecode, err)
 }

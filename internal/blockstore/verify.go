@@ -76,9 +76,9 @@ func VerifyStore(s *Store, path string) (*VerifyReport, error) {
 		for b := 0; b < nb; b++ {
 			var err error
 			if vc.Kind == KindFloat {
-				fdst, scratch, err = s.readFloatBlock(ci, b, fdst, scratch, 0)
+				fdst, scratch, err = s.ReadFloatBlock(ci, b, fdst, scratch)
 			} else {
-				cdst, scratch, err = s.readCatBlock(ci, b, cdst, scratch, 0)
+				cdst, scratch, err = s.ReadCatBlock(ci, b, cdst, scratch)
 			}
 			if err == nil {
 				continue

@@ -65,7 +65,6 @@ func RunContext(ctx context.Context, t *table.Table, q query.Query, opts Options
 }
 
 type engine struct {
-	t    *table.Table
 	q    query.Query
 	opts Options
 	ctx  context.Context
@@ -101,10 +100,6 @@ type engine struct {
 	ioErr       error
 	degraded    bool
 	quarantined int
-
-	// prefetchedThrough is the cursor visit count through which buffer-
-	// pool prefetch requests have been issued (out-of-core scans only).
-	prefetchedThrough int
 
 	layout scramble.Layout
 	cursor *scramble.Cursor
@@ -290,7 +285,7 @@ func (e *engine) resolveAggs(t *table.Table, list []query.Aggregate) error {
 }
 
 func newEngine(t *table.Table, q query.Query, opts Options) (*engine, error) {
-	e := &engine{t: t, q: q, opts: opts, layout: t.Layout()}
+	e := &engine{q: q, opts: opts, layout: t.Layout()}
 	e.cols = newColSet(t)
 	e.par = opts.Parallelism
 	if e.par < 1 {
@@ -475,9 +470,6 @@ func (e *engine) sharedStep() (roundClosed, done bool) {
 // step decides whether to fetch block b, processes or credits it, and
 // maintains coverage counters.
 func (e *engine) step(b int) {
-	if e.cols.ooc {
-		e.prefetchAhead()
-	}
 	s, end := e.layout.BlockBounds(b)
 	n := end - s
 
@@ -504,25 +496,6 @@ func (e *engine) step(b int) {
 		e.coveredAll += n
 	}
 	e.totalCovered += n
-}
-
-// prefetchAhead issues buffer-pool prefetch requests for the upcoming
-// cursor positions (current block included), skipping blocks the static
-// mask prunes — those are never fetched, so warming them would only
-// pollute the pool. Each block is requested at most once per scan.
-func (e *engine) prefetchAhead() {
-	nb := e.layout.NumBlocks()
-	limit := e.cursor.BlocksVisited() + prefetchBlocksAhead
-	if limit > nb {
-		limit = nb
-	}
-	for ; e.prefetchedThrough < limit; e.prefetchedThrough++ {
-		b := (e.cursor.Start() + e.prefetchedThrough) % nb
-		if !e.pred.blockPossible(b) {
-			continue
-		}
-		e.t.Prefetch(b, e.cols.fcols, e.cols.ccols)
-	}
 }
 
 // fetch reads block b through the vectorized kernel: the block's column

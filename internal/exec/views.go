@@ -17,28 +17,19 @@ import (
 // scans keep the engine's byte-identical results and allocation-free
 // steady-state rounds.
 
-// prefetchBlocksAhead is how many upcoming cursor positions the
-// sequential scan asks the buffer pool to warm after each fetch.
-const prefetchBlocksAhead = 8
-
 // colSet is the distinct columns a query reads, with float and
 // categorical slots numbered independently.
 type colSet struct {
-	t   *table.Table
-	ooc bool
+	t *table.Table
 
 	fnames  []string
 	cnames  []string
 	fblocks []table.FloatBlocks
 	cblocks []table.CatBlocks
-
-	// fcols/ccols are the schema column indices of the slots, the form
-	// Pool.Prefetch wants. Populated only for out-of-core tables.
-	fcols, ccols []int32
 }
 
 func newColSet(t *table.Table) *colSet {
-	return &colSet{t: t, ooc: t.OutOfCore()}
+	return &colSet{t: t}
 }
 
 // floatSlot resolves a float column to its slot, adding it on first use.
@@ -54,9 +45,6 @@ func (cs *colSet) floatSlot(name string) (int, error) {
 	}
 	cs.fnames = append(cs.fnames, name)
 	cs.fblocks = append(cs.fblocks, fb)
-	if cs.ooc {
-		cs.fcols = append(cs.fcols, int32(fb.ColIndex()))
-	}
 	return len(cs.fnames) - 1, nil
 }
 
@@ -74,9 +62,6 @@ func (cs *colSet) catSlot(name string) (int, error) {
 	}
 	cs.cnames = append(cs.cnames, name)
 	cs.cblocks = append(cs.cblocks, cb)
-	if cs.ooc {
-		cs.ccols = append(cs.ccols, int32(cb.ColIndex()))
-	}
 	return len(cs.cnames) - 1, nil
 }
 

@@ -278,8 +278,10 @@ type BufferPoolInfo struct {
 	Hits        int64 `json:"hits"`
 	Misses      int64 `json:"misses"`
 	Evictions   int64 `json:"evictions"`
-	Prefetched  int64 `json:"prefetched"`
-	BytesRead   int64 `json:"bytes_read"`
+	// Prefetched counts blocks read ahead by extent reads; misses +
+	// prefetched is the block segments physically read.
+	Prefetched int64 `json:"prefetched"`
+	BytesRead  int64 `json:"bytes_read"`
 	// Fault counters (see Storage for the per-table split).
 	IOErrors          int64 `json:"io_errors,omitempty"`
 	ChecksumFailures  int64 `json:"checksum_failures,omitempty"`

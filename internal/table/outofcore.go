@@ -99,9 +99,10 @@ func (t *Table) SetLabel(l string) {
 	}
 }
 
-// Close releases the block store of an out-of-core table. The caller
-// must ensure no pinned frames of this table remain. Resident tables
-// have nothing to close.
+// Close releases the block store of an out-of-core table, and with it
+// the table's cached frames and quarantine entries in the buffer pool.
+// The caller must ensure no pinned frames of this table remain.
+// Resident tables have nothing to close.
 func (t *Table) Close() error {
 	if t.store == nil {
 		return nil
@@ -171,9 +172,6 @@ func (fb *FloatBlocks) Unpin(f *blockstore.Frame) {
 // or nil for out-of-core columns.
 func (fb *FloatBlocks) Resident() []float64 { return fb.resident }
 
-// ColIndex returns the schema (and store) column index.
-func (fb *FloatBlocks) ColIndex() int { return fb.ci }
-
 // CatBlocks is the categorical counterpart of FloatBlocks.
 type CatBlocks struct {
 	resident  []uint32
@@ -226,14 +224,3 @@ func (cb *CatBlocks) Unpin(f *blockstore.Frame) {
 
 // Resident returns the full code slice when the backing is resident.
 func (cb *CatBlocks) Resident() []uint32 { return cb.resident }
-
-// ColIndex returns the schema (and store) column index.
-func (cb *CatBlocks) ColIndex() int { return cb.ci }
-
-// Prefetch asks the pool to warm block b of the given schema column
-// indices (floats and cats separately). No-op for resident tables.
-func (t *Table) Prefetch(b int, fcols, ccols []int32) {
-	if t.store != nil {
-		t.pool.Prefetch(t.store, b, fcols, ccols)
-	}
-}

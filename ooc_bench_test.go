@@ -1,10 +1,13 @@
 // BenchmarkOutOfCoreScan measures the buffer pool's paging behaviour
 // under budget pressure: the same exhaustive scan over a disk-backed
 // table with a pool sized to hold the whole decoded table, half of it,
-// and a tenth of it. "blocks-loaded/op" and "MB-read/op" are the
-// physical cost the budget forces back onto the disk; with a full-size
-// pool the steady state is all hits and both drop to ~0. CI records the
-// trajectory as BENCH_8.json.
+// and a tenth of it. "blocks-loaded/op" (demand misses, one extent read
+// each), "segments-read/op" (demand plus read-ahead segments) and
+// "MB-read/op" are the physical cost the budget forces back onto the
+// disk; with a full-size pool the steady state is all hits and all
+// three drop to ~0. hit-% counts read-ahead blocks as hits, so only
+// segments-read/op and MB-read/op compare physical reads across pool
+// designs. CI records the trajectory as BENCH_13.json.
 //
 //	go test . -run '^$' -bench BenchmarkOutOfCoreScan -benchtime 3x
 package fastframe
@@ -66,6 +69,7 @@ func BenchmarkOutOfCoreScan(b *testing.B) {
 			loads := float64(s1.Misses - s0.Misses)
 			hits := float64(s1.Hits - s0.Hits)
 			b.ReportMetric(loads/n, "blocks-loaded/op")
+			b.ReportMetric(float64(s1.Misses+s1.Prefetched-s0.Misses-s0.Prefetched)/n, "segments-read/op")
 			b.ReportMetric(float64(s1.BytesRead-s0.BytesRead)/n/1e6, "MB-read/op")
 			b.ReportMetric(float64(s1.Evictions-s0.Evictions)/n, "evictions/op")
 			if hits+loads > 0 {

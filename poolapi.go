@@ -27,8 +27,9 @@ func NewBufferPool(budgetBytes int64) *BufferPool {
 	return &BufferPool{p: blockstore.NewPool(budgetBytes)}
 }
 
-// Close stops the pool's background prefetcher. Close only after every
-// table using the pool is closed and idle.
+// Close releases nothing and stops nothing: the pool owns no goroutine
+// or file, and each table's cached blocks leave the pool when the table
+// closes. It remains so existing callers keep compiling.
 func (bp *BufferPool) Close() { bp.p.Close() }
 
 // PoolStats is a snapshot of a buffer pool's counters.
@@ -37,9 +38,13 @@ type PoolStats struct {
 	// decoded bytes currently cached.
 	BudgetBytes int64
 	UsedBytes   int64
-	// Hits and Misses count block pins served from cache vs loaded from
-	// disk; Evictions counts frames dropped under budget pressure;
-	// Prefetched counts blocks warmed by the background prefetcher.
+	// Hits counts block pins served from cache, including blocks an
+	// earlier extent read ahead; Misses counts demand loads, each one
+	// physical read of an extent (the missed block plus up to 15
+	// following blocks of its column); Prefetched counts the blocks
+	// those extents read ahead. Misses + Prefetched is the number of
+	// block segments physically read. Evictions counts frames dropped
+	// under budget pressure.
 	Hits, Misses, Evictions, Prefetched int64
 	// BytesRead is the compressed segment bytes physically read.
 	BytesRead int64
